@@ -6,7 +6,7 @@ GO ?= go
 # the BENCH_PR.json artifact).
 BENCHFLAGS ?=
 
-.PHONY: all build test conformance race bench bench-gate bench-baseline profile profile-top cover fmt-check doc-check vet dist fuzz
+.PHONY: all build test conformance perfbench-test race bench bench-gate bench-baseline profile profile-top cover fmt-check doc-check vet dist fuzz
 
 # Fuzz budget per target for `make fuzz` (CI passes FUZZTIME=10s; raise it
 # locally for deeper runs, e.g. make fuzz FUZZTIME=2m).
@@ -24,6 +24,14 @@ test: vet
 
 race:
 	$(GO) test -race -short -timeout 15m ./...
+
+# The repository benchmark's own tests (perfbench is a separate module, so
+# ./... above does not reach it): tiny smoke runs of every workload, the
+# checks that outputs are identical across repetitions and between traced
+# and untraced runs, and agreement with BENCHMARK.json. About 10 s; the CI
+# test job runs this.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Registry-wide conformance suite (internal/conformance): every registered
 # defense and codec must hold its contract — byte-identical aggregation for
@@ -57,8 +65,8 @@ bench-baseline:
 	@$(GO) test -json -run '^$$' -bench . -benchtime 1x -benchmem -timeout 15m ./... > BENCH_PR.json
 	$(GO) run ./cmd/benchgate -input BENCH_PR.json -write -baseline BENCH_BASELINE.json
 
-# CPU/heap profiles of the two serving-critical benchmarks: the
-# LocalCompute engines (per-client vs batched) and the async load harness.
+# CPU/heap profiles of the two serving-critical benchmarks: the batched
+# LocalCompute engine and the async load harness.
 # Written to ./profiles; inspect with `go tool pprof profiles/<name>`.
 profile:
 	@mkdir -p profiles

@@ -236,93 +236,3 @@ func TestStoreIndexFastMembership(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchedAxisIdentity pins the batched-engine axis's hash contract:
-// the zero value keeps the historical cell hash (cache compatibility),
-// while the fast mode — whose results are not bitwise-equal — must change
-// the identity. Exact batching as an axis also gets its own identity so
-// wall-clock sweeps cache per variant.
-func TestBatchedAxisIdentity(t *testing.T) {
-	base := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
-	k1, err := base.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := base
-	zero.BatchClients = false
-	zero.FastLocal = false
-	k2, err := zero.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("zero-valued batched axis changed the cell hash")
-	}
-	batched := base
-	batched.BatchClients = true
-	kb, _ := batched.Key()
-	fast := batched
-	fast.FastLocal = true
-	kf, _ := fast.Key()
-	if kb == k1 || kf == k1 || kb == kf {
-		t.Fatal("batched/fast axes not part of the cell identity")
-	}
-	if id := fast.ID(); !strings.Contains(id, "batched-fast") {
-		t.Errorf("fast cell ID %q does not name the engine", id)
-	}
-}
-
-// TestBatchedCellsThroughEngine asserts the engine-level equivalence: the
-// batched cell axis and the execution-level Engine.BatchClients override
-// both reproduce the per-client results exactly (traces included).
-func TestBatchedCellsThroughEngine(t *testing.T) {
-	cell := campaign.NewCell("tiny", "SignGuard", "LIE", tinyParams(1))
-	batchedCell := cell
-	batchedCell.BatchClients = true
-	spec := campaign.Spec{Name: "batched", Cells: []campaign.Cell{cell, batchedCell}}
-	rep := mustRun(t, &campaign.Engine{Registry: testRegistry(), Workers: 2}, spec)
-
-	same := func(a, b *campaign.CellResult, label string) {
-		t.Helper()
-		if a.BestAccuracy != b.BestAccuracy || a.FinalAccuracy != b.FinalAccuracy {
-			t.Errorf("%s: accuracies diverged: %v/%v vs %v/%v",
-				label, a.BestAccuracy, a.FinalAccuracy, b.BestAccuracy, b.FinalAccuracy)
-		}
-		if len(a.TrainLoss) != len(b.TrainLoss) {
-			t.Fatalf("%s: loss trace lengths differ", label)
-		}
-		for i := range a.TrainLoss {
-			if a.TrainLoss[i] != b.TrainLoss[i] {
-				t.Fatalf("%s: round %d loss diverged", label, i)
-			}
-		}
-	}
-	same(rep.Results[0], rep.Results[1], "cell axis")
-
-	// The execution-level override computes the SAME cells (same keys, so
-	// cache-compatible) through the batched engine; results must not move.
-	override := mustRun(t, &campaign.Engine{Registry: testRegistry(), Workers: 2, BatchClients: true},
-		campaign.Spec{Name: "override", Cells: []campaign.Cell{cell}})
-	same(rep.Results[0], override.Results[0], "engine override")
-
-	// Fast mode trains and stays in the same accuracy regime without any
-	// bitwise promise.
-	fastCell := batchedCell
-	fastCell.FastLocal = true
-	fastRep := mustRun(t, &campaign.Engine{Registry: testRegistry()},
-		campaign.Spec{Name: "fast", Cells: []campaign.Cell{fastCell}})
-	if fastRep.Results[0].Diverged {
-		t.Error("fast-kernel cell diverged")
-	}
-}
-
-// TestValidateRejectsFastWithoutBatch: the fast kernels only exist inside
-// the batched engine.
-func TestValidateRejectsFastWithoutBatch(t *testing.T) {
-	bad := campaign.NewCell("tiny", "Mean", "LIE", tinyParams(1))
-	bad.FastLocal = true
-	if err := testRegistry().Validate(campaign.Spec{Name: "x", Cells: []campaign.Cell{bad}}); err == nil ||
-		!strings.Contains(err.Error(), "FastLocal") {
-		t.Errorf("FastLocal without BatchClients passed validation: %v", err)
-	}
-}

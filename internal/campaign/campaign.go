@@ -84,18 +84,6 @@ type Cell struct {
 	// IID fraction s = NonIIDS and NonIIDShards shards per client.
 	NonIIDS      float64 `json:",omitempty"`
 	NonIIDShards int     `json:",omitempty"`
-	// BatchClients selects the batched local-compute engine: each
-	// simulation worker stacks its clients' minibatches into one matrix
-	// and runs a single forward/backward per layer. Results are
-	// byte-identical to the per-client engine, so the axis exists for
-	// wall-clock comparison grids; execution-level batching without a new
-	// cell identity goes through Runner.BatchClients instead.
-	BatchClients bool `json:",omitempty"`
-	// FastLocal additionally enables the batched engine's reassociated
-	// fast kernels. NOT byte-identical (results agree to float64
-	// accuracy), which is why it is cell identity: fast results must never
-	// share a cache entry with exact ones. Requires BatchClients.
-	FastLocal bool `json:",omitempty"`
 	// Codec names the gradient-compression codec every submitted gradient
 	// passes through between the adversary and the defense ("" or
 	// "identity" = the lossless wire format; both spellings share one cell
@@ -166,12 +154,6 @@ func (c Cell) id(withSeed bool) string {
 	}
 	if c.NonIIDS > 0 {
 		fmt.Fprintf(&b, "/niid=%g", c.NonIIDS)
-	}
-	if c.BatchClients {
-		b.WriteString("/batched")
-		if c.FastLocal {
-			b.WriteString("-fast")
-		}
 	}
 	if c.Codec != "" && c.Codec != CodecIdentity {
 		fmt.Fprintf(&b, "/codec=%s", c.Codec)

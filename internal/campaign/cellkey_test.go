@@ -43,8 +43,6 @@ func TestCellKeyExtensionAxesAreFree(t *testing.T) {
 		"sampleK":         func(c *campaign.Cell) { c.SampleK = 0 },
 		"nonIIDS":         func(c *campaign.Cell) { c.NonIIDS = 0 },
 		"nonIIDShards":    func(c *campaign.Cell) { c.NonIIDShards = 0 },
-		"batchClients":    func(c *campaign.Cell) { c.BatchClients = false },
-		"fastLocal":       func(c *campaign.Cell) { c.FastLocal = false },
 		"codec":           func(c *campaign.Cell) { c.Codec = "" },
 		"codecHyper":      func(c *campaign.Cell) { c.CodecHyper = map[string]float64{} },
 		"nonFinitePolicy": func(c *campaign.Cell) { c.NonFinitePolicy = "" },

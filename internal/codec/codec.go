@@ -116,7 +116,10 @@ type Codec interface {
 	// hyperparameters where they matter (e.g. "topk(512)").
 	Name() string
 	// Encode compresses grad into its wire form. Implementations must not
-	// retain or mutate grad, and must draw randomness only from rng.
+	// mutate grad, must draw randomness only from rng, and must not retain
+	// grad — except the identity codec, whose payload is grad itself: an
+	// identity payload and its decoded gradient share the submitted slice,
+	// so callers must not mutate that slice while the payload is live.
 	Encode(grad []float64, rng *rand.Rand) (Encoded, error)
 	// Decode reconstructs a gradient of length Encoded.Dim from the wire
 	// form. It must not depend on the instance's hyperparameters — a
@@ -125,34 +128,34 @@ type Codec interface {
 }
 
 // IdentityCodec is the lossless default: the wire form is the gradient
-// itself. Decode(Encode(g)) is bit-identical to g, so a pipeline with the
-// identity codec reproduces a codec-free engine byte for byte.
+// itself, shared rather than copied. Decode(Encode(g)) is g's own backing
+// array, so a pipeline with the identity codec reproduces a codec-free
+// engine byte for byte and allocates nothing per gradient.
 type IdentityCodec struct{}
 
 // Name implements Codec.
 func (IdentityCodec) Name() string { return Identity }
 
-// Encode implements Codec. It never draws from rng.
+// Encode implements Codec. The payload shares grad's backing array. It
+// never draws from rng.
 func (IdentityCodec) Encode(grad []float64, _ *rand.Rand) (Encoded, error) {
-	return Encoded{Codec: Identity, Dim: len(grad), Dense: append([]float64(nil), grad...)}, nil
+	return Encoded{Codec: Identity, Dim: len(grad), Dense: grad}, nil
 }
 
-// Decode implements Codec. A payload carrying NaN or ±Inf values is
-// refused: decoded gradients feed norms, distances and clustering
-// directly, so the wire boundary must never emit a non-finite value
-// without an error.
+// Decode implements Codec: it returns e.Dense itself, not a copy. A
+// payload carrying NaN or ±Inf values is refused: decoded gradients feed
+// norms, distances and clustering directly, so the wire boundary must
+// never emit a non-finite value without an error.
 func (IdentityCodec) Decode(e Encoded) ([]float64, error) {
 	if len(e.Dense) != e.Dim {
 		return nil, fmt.Errorf("codec: identity payload has %d values for dim %d", len(e.Dense), e.Dim)
 	}
-	out := make([]float64, e.Dim)
 	for i, v := range e.Dense {
 		if !finite(v) {
 			return nil, fmt.Errorf("codec: identity payload value %d: %w", i, ErrNonFinite)
 		}
-		out[i] = v
 	}
-	return out, nil
+	return e.Dense, nil
 }
 
 // TopKCodec keeps the K largest-magnitude coordinates exactly and drops the

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -38,6 +39,52 @@ func TestIdentityRoundTripBitExact(t *testing.T) {
 	}
 	if e.Bytes() <= 8*len(g) {
 		t.Errorf("identity Bytes() %d should include header over %d payload bytes", e.Bytes(), 8*len(g))
+	}
+}
+
+// TestIdentityZeroCopy pins the identity codec's sharing contract: the
+// round trip returns the submitted slice itself and allocates nothing.
+func TestIdentityZeroCopy(t *testing.T) {
+	g := testGrad(rand.New(rand.NewSource(3)), 64)
+	var c Codec = IdentityCodec{}
+	allocs := testing.AllocsPerRun(100, func() {
+		e, err := c.Encode(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Decode(e)
+		if err != nil || &out[0] != &g[0] {
+			t.Fatalf("round trip did not return the submitted slice (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("identity round trip made %v allocations, want 0", allocs)
+	}
+}
+
+// TestIdentityRejectsNonFinite: sharing the slice must not weaken the
+// decode boundary — NaN and ±Inf payloads still fail with ErrNonFinite.
+func TestIdentityRejectsNonFinite(t *testing.T) {
+	var c Codec = IdentityCodec{}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e, err := c.Encode([]float64{1, bad, 3}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Decode(e); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("payload with %v: got %v, want ErrNonFinite", bad, err)
+		}
+	}
+}
+
+// TestIdentityRejectsDimMismatch: a payload whose length disagrees with
+// its declared dimension is refused rather than passed through.
+func TestIdentityRejectsDimMismatch(t *testing.T) {
+	g := testGrad(rand.New(rand.NewSource(3)), 3)
+	for _, dense := range [][]float64{g[:2], append(g, 4)} {
+		if _, err := (IdentityCodec{}).Decode(Encoded{Codec: Identity, Dim: 3, Dense: dense}); err == nil {
+			t.Errorf("identity payload of %d values for dim 3 accepted", len(dense))
+		}
 	}
 }
 

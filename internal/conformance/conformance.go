@@ -1,7 +1,8 @@
 // Package conformance is the registry-wide contract checker of the defense
 // and codec catalogs. Every registered defense must produce byte-identical
 // aggregates for any worker count, survive hostile (non-finite) input
-// buffers with a finite aggregate or an error, and declare hyperparameters
+// buffers with a finite aggregate or an error, leave its input gradients
+// untouched, and declare hyperparameters
 // that round-trip through the CLI's key=value syntax; every registered
 // codec must honor its declared round-trip bound (bit-exactness for
 // lossless codecs, a minimum preserved cosine for lossy ones) and reject
@@ -163,6 +164,35 @@ func CheckDefenseHostileInputs(reg *defense.Registry, name string, seed int64) e
 		}
 		if !tensor.AllFinite(res.Gradient) {
 			return fmt.Errorf("%s emitted a non-finite aggregate on %s without an error", name, buffer)
+		}
+	}
+	return nil
+}
+
+// CheckDefenseInputsUnchanged asserts the read-only contract: a defense
+// must leave every submitted gradient bit-identical, across repeated rounds
+// on one instance. The simulation's identity codec hands the defense the
+// submitted slices themselves, so an in-place edit would silently rewrite
+// the honest gradients the round hooks and metrics observe.
+func CheckDefenseInputsUnchanged(reg *defense.Registry, name string, seed int64) error {
+	server := tensor.RandNormal(tensor.NewRNG(seed+1), CohortDim, 0, 1)
+	rule, err := buildRule(reg, name, seed, server)
+	if err != nil {
+		return err
+	}
+	for round := 0; round < 2; round++ {
+		grads := cohort(seed + int64(round))
+		want := tensor.CloneAll(grads)
+		if _, err := rule.Aggregate(grads); err != nil {
+			return fmt.Errorf("%s round %d: %w", name, round, err)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if math.Float64bits(grads[i][j]) != math.Float64bits(want[i][j]) {
+					return fmt.Errorf("%s round %d rewrote submitted gradient %d coordinate %d: %v -> %v",
+						name, round, i, j, want[i][j], grads[i][j])
+				}
+			}
 		}
 	}
 	return nil

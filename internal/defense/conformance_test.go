@@ -11,8 +11,9 @@ import (
 
 // TestDefenseConformance runs the registry-wide contract over every builtin
 // defense: byte-identical aggregation for any worker count, finite-or-error
-// behavior on hostile buffers, and CLI-compatible hyperparameter
-// declarations with undeclared names rejected.
+// behavior on hostile buffers, untouched input gradients, and
+// CLI-compatible hyperparameter declarations with undeclared names
+// rejected.
 func TestDefenseConformance(t *testing.T) {
 	reg := defense.Builtin()
 	for _, name := range reg.Names() {
@@ -23,6 +24,9 @@ func TestDefenseConformance(t *testing.T) {
 			}
 			if err := conformance.CheckDefenseHostileInputs(reg, name, 13); err != nil {
 				t.Errorf("hostile inputs: %v", err)
+			}
+			if err := conformance.CheckDefenseInputsUnchanged(reg, name, 17); err != nil {
+				t.Errorf("input immutability: %v", err)
 			}
 			if err := conformance.CheckDefenseHyperDeclaration(reg, name); err != nil {
 				t.Errorf("hyper declaration: %v", err)
@@ -59,6 +63,43 @@ func TestConformanceCatchesWorkerNondeterminism(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "workers") {
 		t.Errorf("unhelpful determinism error: %v", err)
+	}
+}
+
+// inPlaceMean violates the read-only contract on purpose: it accumulates
+// the mean into the first submitted gradient.
+type inPlaceMean struct{}
+
+func (inPlaceMean) Name() string { return "InPlace" }
+
+func (inPlaceMean) Aggregate(grads [][]float64) (*aggregate.Result, error) {
+	acc := grads[0]
+	for _, g := range grads[1:] {
+		for j, v := range g {
+			acc[j] += v
+		}
+	}
+	for j := range acc {
+		acc[j] /= float64(len(grads))
+	}
+	return &aggregate.Result{Gradient: acc}, nil
+}
+
+// TestConformanceCatchesInputMutation is the test of the test: a rule that
+// aggregates in place over its inputs must fail the immutability check.
+func TestConformanceCatchesInputMutation(t *testing.T) {
+	reg := defense.NewRegistry()
+	if err := reg.Register(defense.Spec{Name: "InPlace", Build: func(defense.Params) (aggregate.Rule, error) {
+		return inPlaceMean{}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	err := conformance.CheckDefenseInputsUnchanged(reg, "InPlace", 17)
+	if err == nil {
+		t.Fatal("in-place rule passed the immutability check")
+	}
+	if !strings.Contains(err.Error(), "rewrote submitted gradient 0") {
+		t.Errorf("unhelpful immutability error: %v", err)
 	}
 }
 

@@ -10,25 +10,21 @@ import (
 	"github.com/signguard/signguard/internal/tensor"
 )
 
-// BatchedCompute is the batched local stage: instead of one
-// forward/backward pass per client, it stacks the minibatches of all
-// clients assigned to a worker into one matrix, runs a single
-// forward/backward per layer (nn.BatchClassifier), and de-interleaves the
-// per-client gradients from the batch dimension.
+// BatchedCompute is the local stage: participants are partitioned
+// contiguously over the worker model replicas, and instead of one
+// forward/backward pass per client each worker stacks the minibatches of
+// its clients into one matrix, runs a single forward/backward per layer
+// (nn.BatchClassifier), and de-interleaves the per-client gradients from
+// the batch dimension.
 //
-// Equivalence contract: every client still draws from its own sampler
-// stream, segments are processed in participant order, and the segmented
-// kernels accumulate each client's gradient terms in the exact order the
-// per-client path uses — so the outputs are byte-identical
-// (math.Float64bits) to ReplicaCompute for any worker count, pinned by
-// TestGoldenBatchedEquivalence. Both the image stacks (FeedForward) and
-// the text RNN batch; models that cannot fall back to the per-client path
-// transparently.
-//
-// Fast trades that bit-identity for reassociated reduction kernels
-// (unrolled independent accumulators): results agree to normal float64
-// accuracy but golden traces will differ, which is why it is a separate,
-// explicit knob (Config.FastLocal).
+// Equivalence contract: every client draws from its own sampler stream,
+// segments are processed in participant order, and the segmented kernels
+// accumulate each client's gradient terms in the exact order a standalone
+// per-client LossAndGrad uses — so the outputs are byte-identical
+// (math.Float64bits) to computing each client's gradient on its own, for
+// any worker count, pinned by TestGoldenBatchedEquivalence. Both the image
+// stacks (FeedForward) and the text RNN batch; models that cannot fall
+// back to the per-client path transparently.
 //
 // The stage is stateful (use a pointer): each worker owns a workerScratch
 // holding an nn.Workspace arena plus the tile-assembly buffers, so
@@ -38,9 +34,6 @@ import (
 // every arena buffer is either fully overwritten or explicitly zeroed
 // before use (see nn.Workspace).
 type BatchedCompute struct {
-	// Fast enables the non-bitwise fast kernels on supporting models.
-	Fast bool
-
 	scratch []*workerScratch
 }
 
@@ -64,16 +57,10 @@ func (bc *BatchedCompute) ensureScratch(n int) {
 }
 
 // Name implements LocalCompute.
-func (bc *BatchedCompute) Name() string {
-	if bc.Fast {
-		return "batched-sgd-fast"
-	}
-	return "batched-sgd"
-}
+func (bc *BatchedCompute) Name() string { return "batched-sgd" }
 
-// Compute implements LocalCompute: participants are partitioned
-// contiguously over the worker model replicas exactly like ReplicaCompute,
-// and each worker trains its whole client range in one stacked pass.
+// Compute implements LocalCompute: each worker trains its contiguous
+// client range in stacked tile passes.
 func (bc *BatchedCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
 	outs := make([]ClientGrad, len(participants))
 	workers := env.Workers
@@ -122,11 +109,6 @@ func (bc *BatchedCompute) computeRange(env *LocalEnv, m nn.Classifier, sc *worke
 			outs[i] = localGradient(env, m, participants[i])
 		}
 		return
-	}
-	if bc.Fast {
-		if fk, ok := m.(nn.FastKernels); ok {
-			fk.SetFastKernels(true)
-		}
 	}
 	for tile := start; tile < end; {
 		next := bc.computeTile(env, bm, sc, participants, outs, tile, end)

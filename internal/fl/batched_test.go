@@ -2,29 +2,60 @@ package fl
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/signguard/signguard/internal/attack"
 	"github.com/signguard/signguard/internal/core"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/nn"
+	"github.com/signguard/signguard/internal/parallel"
 )
 
-// digestPair runs the same configuration through the per-client and the
-// batched local stage and returns both trace digests; every test here
-// asserts byte-identity through them. build must return a fresh Config per
-// call — stateful defenses (SignGuard's previous-aggregate reference)
-// would otherwise leak state from one run into the other.
-func digestPair(t *testing.T, build func() Config) (replica, batched string) {
+// perClientCompute is the reference oracle of the batched engine: one
+// standalone LossAndGrad per participant, partitioned contiguously over
+// the worker model replicas exactly like BatchedCompute. Each participant
+// is visited by exactly one worker and draws from its own sampler stream,
+// so its outputs are identical for any worker count.
+type perClientCompute struct{}
+
+func (perClientCompute) Name() string { return "per-client-sgd" }
+
+func (perClientCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
+	outs := make([]ClientGrad, len(participants))
+	workers := min(env.Workers, len(participants))
+	if workers <= 1 {
+		for i, c := range participants {
+			outs[i] = localGradient(env, env.Replicas[0], c)
+		}
+		return outs, nil
+	}
+	parallel.For(workers, len(participants), func(w, start, end int) {
+		m := env.Replicas[w]
+		if err := m.SetParamVector(env.Global); err != nil {
+			for i := start; i < end; i++ {
+				outs[i].Err = err
+			}
+			return
+		}
+		for i := start; i < end; i++ {
+			outs[i] = localGradient(env, m, participants[i])
+		}
+	})
+	return outs, nil
+}
+
+// digestPair runs the same configuration through the per-client oracle
+// and the default (batched) local stage and returns both trace digests;
+// every test here asserts byte-identity through them. build must return a
+// fresh Config per call — stateful defenses (SignGuard's previous-aggregate
+// reference) would otherwise leak state from one run into the other.
+func digestPair(t *testing.T, build func() Config) (perClient, batched string) {
 	t.Helper()
 	cfg := build()
-	cfg.BatchClients = false
-	replica = traceDigest(t, cfg)
-	cfg = build()
-	cfg.BatchClients = true
-	batched = traceDigest(t, cfg)
-	return replica, batched
+	cfg.Pipeline.Local = perClientCompute{}
+	perClient = traceDigest(t, cfg)
+	batched = traceDigest(t, build())
+	return perClient, batched
 }
 
 // TestBatchedUnequalMinibatches: BatchSize 7 over 40-example client
@@ -73,7 +104,7 @@ func TestBatchedSingleClientSegments(t *testing.T) {
 // must reproduce that fallback byte for byte — and such rounds must
 // actually occur in the run for the test to mean anything.
 func TestBatchedByzantineOnlyRounds(t *testing.T) {
-	build := func(batched bool) Config {
+	build := func(workers int) Config {
 		cfg := baseConfig(tinyDataset(t))
 		cfg.Clients = 5
 		cfg.NumByz = 4
@@ -81,12 +112,12 @@ func TestBatchedByzantineOnlyRounds(t *testing.T) {
 		cfg.Rule = core.NewPlain(2)
 		cfg.Rounds = 20
 		cfg.Pipeline.Participation = UniformSubsample{K: 2}
-		cfg.BatchClients = batched
+		cfg.Workers = workers
 		return cfg
 	}
 
 	byzOnly := 0
-	cfg := build(true)
+	cfg := build(1)
 	hook := func(st *RoundState) {
 		allByz := true
 		for _, id := range st.Participants {
@@ -110,8 +141,10 @@ func TestBatchedByzantineOnlyRounds(t *testing.T) {
 		t.Fatal("no Byzantine-only round occurred; adjust K/seed so the fallback is exercised")
 	}
 
-	if r, b := digestPair(t, func() Config { return build(false) }); r != b {
-		t.Errorf("Byzantine-only rounds: batched trace %s, per-client %s", b, r)
+	for _, workers := range []int{1, 2, 7} {
+		if r, b := digestPair(t, func() Config { return build(workers) }); r != b {
+			t.Errorf("Byzantine-only rounds, workers=%d: batched trace %s, per-client %s", workers, b, r)
+		}
 	}
 }
 
@@ -124,21 +157,23 @@ func TestBatchedTextModelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() Config {
-		return Config{
-			Dataset: ds,
-			NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
-				return nn.NewTextRNN(rng, 128, 8, 12, 4), nil
-			},
-			Rule:    core.NewPlain(5),
-			Attack:  attack.NewLIE(0.3),
-			Clients: 6, NumByz: 2, Rounds: 4, BatchSize: 8,
-			LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4,
-			EvalEvery: 4, EvalSamples: 30, Seed: 5, Workers: 2,
+	for _, workers := range []int{1, 2, 7} {
+		build := func() Config {
+			return Config{
+				Dataset: ds,
+				NewModel: func(rng *rand.Rand) (nn.Classifier, error) {
+					return nn.NewTextRNN(rng, 128, 8, 12, 4), nil
+				},
+				Rule:    core.NewPlain(5),
+				Attack:  attack.NewLIE(0.3),
+				Clients: 6, NumByz: 2, Rounds: 4, BatchSize: 8,
+				LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4,
+				EvalEvery: 4, EvalSamples: 30, Seed: 5, Workers: workers,
+			}
 		}
-	}
-	if r, b := digestPair(t, build); r != b {
-		t.Errorf("text batched: batched trace %s, per-client %s", b, r)
+		if r, b := digestPair(t, build); r != b {
+			t.Errorf("text batched, workers=%d: batched trace %s, per-client %s", workers, b, r)
+		}
 	}
 }
 
@@ -173,40 +208,10 @@ func TestBatchedOneRowTiles(t *testing.T) {
 	}
 }
 
-// TestFastLocalMode: the fast kernels are explicitly non-bitwise, so the
-// contract is weaker — the run must train to comparable accuracy and be
-// selected only through the documented flag pair.
-func TestFastLocalMode(t *testing.T) {
-	cfg := baseConfig(tinyDataset(t))
-	cfg.FastLocal = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("FastLocal without BatchClients accepted")
-	}
-
-	cfg.BatchClients = true
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name := sim.Pipeline().Local.Name(); name != "batched-sgd-fast" {
-		t.Fatalf("fast local stage named %q", name)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Diverged || res.BestAccuracy < 90 {
-		t.Errorf("fast mode training reached %.1f%% (diverged=%v)", res.BestAccuracy, res.Diverged)
-	}
-}
-
-// TestBatchedStageNames pins the stage names (they appear in logs and
-// error messages).
+// TestBatchedStageNames pins the stage name (it appears in logs and error
+// messages).
 func TestBatchedStageNames(t *testing.T) {
 	if n := (&BatchedCompute{}).Name(); n != "batched-sgd" {
-		t.Errorf("exact stage named %q", n)
-	}
-	if n := (&BatchedCompute{Fast: true}).Name(); !strings.HasSuffix(n, "-fast") {
-		t.Errorf("fast stage named %q", n)
+		t.Errorf("local stage named %q", n)
 	}
 }

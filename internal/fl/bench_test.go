@@ -13,11 +13,9 @@ import (
 )
 
 // BenchmarkLocalCompute is the regression benchmark of the round's hottest
-// stage: the participants' gradient computation, isolated from the rest of
-// the pipeline. It sweeps cohort × workers × engine (per-client replica
-// loop vs stacked batched pass vs batched with the non-bitwise fast
-// kernels) on the ImageCNN model, so the BENCH_PR artifact covers the
-// per-client/batched comparison directly.
+// stage: the participants' gradient computation through the batched
+// engine, isolated from the rest of the pipeline. It sweeps cohort ×
+// workers on the ImageCNN model.
 func BenchmarkLocalCompute(b *testing.B) {
 	ds, err := data.GenerateSynthImage(data.SynthImageConfig{
 		Name: "bench", Classes: 8, C: 1, H: 8, W: 8, Train: 8000, Test: 200,
@@ -25,14 +23,6 @@ func BenchmarkLocalCompute(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	engines := []struct {
-		name  string
-		stage LocalCompute
-	}{
-		{"replica", ReplicaCompute{}},
-		{"batched", &BatchedCompute{}},
-		{"batched-fast", &BatchedCompute{Fast: true}},
 	}
 	for _, cohort := range []int{50, 200} {
 		for _, workers := range []int{1, 4} {
@@ -55,24 +45,25 @@ func BenchmarkLocalCompute(b *testing.B) {
 				Replicas:  sim.replicas,
 				Workers:   sim.workers,
 			}
-			for _, eng := range engines {
-				b.Run(fmt.Sprintf("cohort=%d/workers=%d/%s", cohort, workers, eng.name), func(b *testing.B) {
-					b.ReportAllocs()
-					benchComputeLoop(b, eng.stage, env, sim.clients)
-					b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
-				})
-			}
+			b.Run(fmt.Sprintf("cohort=%d/workers=%d/batched", cohort, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				benchComputeLoop(b, &BatchedCompute{}, env, sim.clients)
+				b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
+			})
 		}
 	}
 }
 
-// benchComputeLoop measures steady-state rounds of one local-compute
-// engine: warm-up rounds outside the timer let the stateful engines
-// populate their per-worker arenas, so B/op reflects the per-round
-// allocation cost rather than one-time buffer growth. Three warm-up
-// rounds cover a full epoch of the benchmark samplers' minibatch cycle
-// (16, 16, 8 rows at 40 examples per client), so every tile shape the
-// timed rounds stack is already cached whatever the sampler phase.
+// benchComputeLoop measures steady-state rounds of a local-compute
+// stage: warm-up rounds outside the timer let the stateful stage
+// populate its per-worker arenas, so B/op reflects the per-round
+// allocation cost rather than one-time buffer growth. The first three
+// warm-up rounds cover a full epoch of the benchmark samplers' minibatch
+// cycle (16, 16, 8 rows at 40 examples per client), so every tile shape
+// the timed rounds stack is already cached whatever the sampler phase.
+// The fourth moves a single timed round (-benchtime 1x) off the epoch
+// boundary, where every client's sampler allocates a fresh permutation:
+// that is the data layer's per-epoch cost, not the stage's per-round one.
 func benchComputeLoop(b *testing.B, stage LocalCompute, env *LocalEnv, clients []*Client) {
 	b.Helper()
 	run := func() {
@@ -86,7 +77,7 @@ func benchComputeLoop(b *testing.B, stage LocalCompute, env *LocalEnv, clients [
 			}
 		}
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		run()
 	}
 	b.ResetTimer()
@@ -96,20 +87,13 @@ func benchComputeLoop(b *testing.B, stage LocalCompute, env *LocalEnv, clients [
 }
 
 // BenchmarkLocalComputeText is BenchmarkLocalCompute's text-model twin:
-// the agnews-shaped RNN through the per-client replica loop vs the
-// time-major stacked kernel, so the allocation gate also covers the
-// token-sequence path (variable-length sequences, embedding scatter).
+// the agnews-shaped RNN through the time-major stacked kernel, so the
+// allocation gate also covers the token-sequence path (variable-length
+// sequences, embedding scatter).
 func BenchmarkLocalComputeText(b *testing.B) {
 	ds, err := data.AGNewsLike(7, 4000, 200)
 	if err != nil {
 		b.Fatal(err)
-	}
-	engines := []struct {
-		name  string
-		stage LocalCompute
-	}{
-		{"replica", ReplicaCompute{}},
-		{"batched", &BatchedCompute{}},
 	}
 	const cohort = 50
 	for _, workers := range []int{1, 4} {
@@ -132,13 +116,11 @@ func BenchmarkLocalComputeText(b *testing.B) {
 			Replicas:  sim.replicas,
 			Workers:   sim.workers,
 		}
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("cohort=%d/workers=%d/%s", cohort, workers, eng.name), func(b *testing.B) {
-				b.ReportAllocs()
-				benchComputeLoop(b, eng.stage, env, sim.clients)
-				b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
-			})
-		}
+		b.Run(fmt.Sprintf("cohort=%d/workers=%d/batched", cohort, workers), func(b *testing.B) {
+			b.ReportAllocs()
+			benchComputeLoop(b, &BatchedCompute{}, env, sim.clients)
+			b.ReportMetric(float64(cohort*b.N)/b.Elapsed().Seconds(), "clients/s")
+		})
 	}
 }
 

@@ -143,6 +143,44 @@ func TestCodecRoundHookSeesDecoded(t *testing.T) {
 	}
 }
 
+// TestIdentityCodecSharesSubmittedGradients: under the default identity
+// codec the defense sees the submitted slices themselves — every honest
+// gradient is one of the round's benign arrivals, shared, not copied.
+func TestIdentityCodecSharesSubmittedGradients(t *testing.T) {
+	cfg := baseConfig(tinyDataset(t))
+	cfg.Rounds = 3
+	cfg.NumByz = 2
+	cfg.Attack = attack.NewLIE(0.3)
+	hooked := 0
+	cfg.RoundHook = func(st *RoundState) {
+		hooked++
+		benign := map[*float64]bool{}
+		for i, g := range st.Grads {
+			if !st.ByzMask[i] {
+				benign[&g[0]] = true
+			}
+		}
+		if len(benign) != len(st.Honest) {
+			t.Fatalf("round %d: %d distinct benign arrivals for %d honest gradients", st.Round, len(benign), len(st.Honest))
+		}
+		for k, h := range st.Honest {
+			if !benign[&h[0]] {
+				t.Errorf("round %d: honest gradient %d is not shared with its submitted slice", st.Round, k)
+			}
+		}
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if hooked != cfg.Rounds {
+		t.Fatalf("hook ran %d times, want %d", hooked, cfg.Rounds)
+	}
+}
+
 // TestCodecErrorsSurface: a codec whose round trip fails must abort the
 // run with a stage-attributed error.
 type brokenCodec struct{ codec.IdentityCodec }

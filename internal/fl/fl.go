@@ -50,14 +50,18 @@ type RoundState struct {
 	// stage, ascending.
 	Participants []int
 	// Grads holds all submitted gradients in server arrival order, as the
-	// defense saw them: after the codec round trip.
+	// defense saw them: after the codec round trip. Under the identity
+	// codec an entry is the submitted slice itself (shared with Honest or
+	// the adversary's output), not a copy; hooks must not mutate it.
 	Grads [][]float64
 	// WireBytes is the round's total bytes-shipped accounting: the sum of
 	// every submitted gradient's encoded wire size.
 	WireBytes int64
 	// ByzMask marks which arrival positions carry malicious gradients.
 	ByzMask []bool
-	// Honest holds the honest gradients of the benign clients only.
+	// Honest holds the honest gradients of the benign clients only. Under
+	// the identity codec these slices are shared with Grads; hooks must not
+	// mutate them.
 	Honest [][]float64
 	// Result is the aggregation outcome of the round.
 	Result *aggregate.Result
@@ -132,23 +136,6 @@ type Config struct {
 	// byte-identical for any worker count.
 	Workers int
 
-	// BatchClients selects the batched local-compute engine
-	// (BatchedCompute): each worker stacks its clients' minibatches into
-	// one matrix and runs a single forward/backward per layer, then
-	// de-interleaves the per-client gradients from the batch dimension.
-	// Results are byte-identical to the default per-client engine for any
-	// worker count (see the golden tests); the knob trades nothing but
-	// wall-clock. Ignored when Pipeline.Local is set explicitly.
-	BatchClients bool
-	// FastLocal additionally switches the batched engine to the
-	// reassociated fast reduction kernels (unrolled independent
-	// accumulators). Results agree with the exact path to normal float64
-	// accuracy but are NOT bit-identical — traces, accuracy curves and
-	// cache hashes will differ — so the mode is a separate explicit knob.
-	// The toggle sticks to the model replicas, so evaluation passes of the
-	// run use the fast kernels too. Requires BatchClients.
-	FastLocal bool
-
 	// RoundHook, when non-nil, observes every round (used by the Fig. 2
 	// sign-statistics experiment and by tests).
 	RoundHook func(*RoundState)
@@ -172,8 +159,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: batch size %d invalid", c.BatchSize)
 	case c.LR <= 0 && c.Pipeline.Update == nil:
 		return fmt.Errorf("fl: learning rate %v invalid", c.LR)
-	case c.FastLocal && !c.BatchClients:
-		return errors.New("fl: FastLocal requires BatchClients (fast kernels belong to the batched engine)")
 	case c.NonFinite != 0 && !c.NonFinite.Valid():
 		return fmt.Errorf("fl: unknown non-finite policy %d", int(c.NonFinite))
 	}
@@ -292,11 +277,7 @@ func New(cfg Config) (*Simulation, error) {
 		pipe.Participation = FullParticipation{}
 	}
 	if pipe.Local == nil {
-		if cfg.BatchClients {
-			pipe.Local = &BatchedCompute{Fast: cfg.FastLocal}
-		} else {
-			pipe.Local = ReplicaCompute{}
-		}
+		pipe.Local = &BatchedCompute{}
 	}
 	if pipe.Adversary == nil {
 		pipe.Adversary = attack.Promote(att)
@@ -537,7 +518,9 @@ func (s *Simulation) Step(round int) (*RoundMetrics, error) {
 	// repairs it in place — and only the survivors reach the wire.
 	var screened int
 	if s.cfg.NonFinite == 0 {
-		for _, g := range grads {
+		// The benign gradients already passed gradientHealthy above, so
+		// only the adversary's output needs the check.
+		for _, g := range malicious {
 			if !gradientHealthy(g) {
 				// The attack itself overflowed (honest inputs were usable).
 				return nil, fmt.Errorf("%w: unusable submitted gradient in round %d", ErrDiverged, round)

@@ -140,10 +140,11 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 // TestGoldenBatchedEquivalence proves the batched local-compute engine is
 // byte-identical (the digests cover the Float64bits of every per-round
 // aggregated gradient, selection, loss and accuracy) to the per-client
-// path across Workers ∈ {1, 2, 7} × BatchClients on/off, against the same
-// pinned pre-pipeline traces. The batched engine is a second execution
-// engine for the hottest loop in the system; this test is its equivalence
-// contract.
+// oracle (perClientCompute) across Workers ∈ {1, 2, 7}, against the same
+// pinned pre-pipeline traces. The batched engine stacks every worker's
+// clients into one pass through the hottest loop in the system; this test
+// is its equivalence contract. batched=false runs the oracle, batched=true
+// the default engine.
 func TestGoldenBatchedEquivalence(t *testing.T) {
 	for name, want := range goldenTraces {
 		for _, workers := range []int{1, 2, 7} {
@@ -151,9 +152,11 @@ func TestGoldenBatchedEquivalence(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers=%d/batched=%v", name, workers, batched), func(t *testing.T) {
 					cfg := goldenScenario(t, name)
 					cfg.Workers = workers
-					cfg.BatchClients = batched
+					if !batched {
+						cfg.Pipeline.Local = perClientCompute{}
+					}
 					if got := traceDigest(t, cfg); got != want {
-						t.Errorf("trace digest drifted from the per-client engine:\n got %s\nwant %s", got, want)
+						t.Errorf("trace digest drifted from the pinned engine:\n got %s\nwant %s", got, want)
 					}
 				})
 			}

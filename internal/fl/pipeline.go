@@ -23,14 +23,13 @@ import (
 	"github.com/signguard/signguard/internal/codec"
 	"github.com/signguard/signguard/internal/data"
 	"github.com/signguard/signguard/internal/nn"
-	"github.com/signguard/signguard/internal/parallel"
 )
 
 // Pipeline overrides individual round-pipeline stages; nil fields fall
 // back to the defaults derived from Config (FullParticipation,
-// ReplicaCompute — or BatchedCompute when Config.BatchClients is set —
-// the promoted Config.Attack, the lossless codec.IdentityCodec,
-// Config.Rule wrapped as a RuleDefense, and momentum SGDUpdate).
+// BatchedCompute, the promoted Config.Attack, the lossless
+// codec.IdentityCodec, Config.Rule wrapped as a RuleDefense, and momentum
+// SGDUpdate).
 type Pipeline struct {
 	Participation Participation
 	Local         LocalCompute
@@ -129,44 +128,6 @@ type LocalCompute interface {
 	Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error)
 }
 
-// ReplicaCompute is the default local stage: one stochastic gradient per
-// participant, partitioned contiguously over the worker model replicas.
-// Each participant is visited by exactly one worker and draws from its own
-// sampler stream, so the outputs are identical for any worker count.
-type ReplicaCompute struct{}
-
-// Name implements LocalCompute.
-func (ReplicaCompute) Name() string { return "replica-sgd" }
-
-// Compute implements LocalCompute.
-func (ReplicaCompute) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
-	outs := make([]ClientGrad, len(participants))
-	workers := env.Workers
-	if workers > len(participants) {
-		workers = len(participants)
-	}
-	if workers <= 1 {
-		m := env.Replicas[0]
-		for i, c := range participants {
-			outs[i] = localGradient(env, m, c)
-		}
-		return outs, nil
-	}
-	parallel.For(workers, len(participants), func(w, start, end int) {
-		m := env.Replicas[w]
-		if err := m.SetParamVector(env.Global); err != nil {
-			for i := start; i < end; i++ {
-				outs[i].Err = err
-			}
-			return
-		}
-		for i := start; i < end; i++ {
-			outs[i] = localGradient(env, m, participants[i])
-		}
-	})
-	return outs, nil
-}
-
 // localGradient computes one client's honest stochastic gradient at the
 // current global parameters, on the given model replica.
 func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
@@ -186,7 +147,9 @@ func localGradient(env *LocalEnv, m nn.Classifier, c *Client) ClientGrad {
 // Defense is stage 5: it filters and aggregates the round's submitted
 // gradients, after they have passed through the codec round trip.
 // Implementations may be stateful across rounds (SignGuard keeps the
-// previous aggregate as its similarity reference).
+// previous aggregate as its similarity reference) but must not mutate
+// grads: under the identity codec they are the submitted slices
+// themselves.
 type Defense interface {
 	Name() string
 	Aggregate(round int, grads [][]float64) (*aggregate.Result, error)

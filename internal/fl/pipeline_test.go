@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -228,6 +229,91 @@ func TestAdaptiveMinMaxEndToEnd(t *testing.T) {
 	}
 	if res.Diverged {
 		t.Error("adaptive min-max destroyed training through SignGuard")
+	}
+}
+
+// overflowAdversary submits the Byzantine clients' own gradients, except
+// in round at, where the first one is replaced by a finite gradient whose
+// norm is far beyond what gradientHealthy accepts.
+type overflowAdversary struct{ at int }
+
+func (overflowAdversary) Name() string       { return "overflow" }
+func (overflowAdversary) NeedsHistory() bool { return false }
+func (a overflowAdversary) Craft(ctx *attack.Context) ([][]float64, error) {
+	out := tensor.CloneAll(ctx.ByzOwn)
+	if ctx.Round == a.at {
+		for j := range out[0] {
+			out[0][j] = 1e150
+		}
+	}
+	return out, nil
+}
+
+// TestOverflowingCraftedGradientDiverges: the legacy ingest screen must end
+// the run as diverged in the very round the adversary submits an
+// overflow-prone gradient, before the codec and defense see it.
+func TestOverflowingCraftedGradientDiverges(t *testing.T) {
+	const at = 3
+	cfg := baseConfig(tinyDataset(t))
+	cfg.NumByz = 2
+	cfg.Rounds = 10
+	cfg.Pipeline.Adversary = overflowAdversary{at: at}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("diverged run should not error: %v", err)
+	}
+	if !res.Diverged || len(res.History) != at {
+		t.Errorf("run diverged=%v after %d rounds, want diverged in round %d", res.Diverged, len(res.History), at)
+	}
+}
+
+// poisonedLocal wraps the default local stage and, in its at-th call
+// (round at), overflows the first benign participant's honest gradient.
+type poisonedLocal struct {
+	at    int
+	calls int
+}
+
+func (*poisonedLocal) Name() string { return "poisoned-batched-sgd" }
+
+func (p *poisonedLocal) Compute(env *LocalEnv, participants []*Client) ([]ClientGrad, error) {
+	outs, err := (&BatchedCompute{}).Compute(env, participants)
+	if err == nil && p.calls == p.at {
+		for i, c := range participants {
+			if !c.Byzantine {
+				outs[i].Grad[0] = math.Inf(1)
+				break
+			}
+		}
+	}
+	p.calls++
+	return outs, err
+}
+
+// TestUnhealthyBenignGradientDiverges: with the legacy screen checking only
+// the adversary's output, a benign gradient that left the usable range
+// must still end the run as diverged in that very round — caught by the
+// local-output check before the adversary or the codec see it.
+func TestUnhealthyBenignGradientDiverges(t *testing.T) {
+	const at = 2
+	cfg := baseConfig(tinyDataset(t))
+	cfg.NumByz = 2
+	cfg.Rounds = 10
+	cfg.Pipeline.Local = &poisonedLocal{at: at}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("diverged run should not error: %v", err)
+	}
+	if !res.Diverged || len(res.History) != at {
+		t.Errorf("run diverged=%v after %d rounds, want diverged in round %d", res.Diverged, len(res.History), at)
 	}
 }
 

@@ -15,9 +15,7 @@ package nn
 //     standalone per-client backward performs.
 //
 // Together these make BatchedLossAndGrad byte-identical (Float64bits) to
-// looping LossAndGrad over the segments, for any segmentation. The
-// explicitly opt-in fast mode (SetFastKernels) trades that bit-identity
-// for reassociated reduction kernels.
+// looping LossAndGrad over the segments, for any segmentation.
 //
 // The ...Ws variants additionally thread a per-worker Workspace arena
 // through every layer, so a steady-state tile pass checks out cached
@@ -63,12 +61,6 @@ type WorkspaceBatchClassifier interface {
 	BatchedLossAndGradWs(ws *Workspace, in Input, labels []int, bounds []int) ([]SegmentGrad, error)
 }
 
-// FastKernels is implemented by models whose layers can switch to the
-// reassociated (non-bitwise) fast kernels.
-type FastKernels interface {
-	SetFastKernels(on bool)
-}
-
 // arenaLayer is implemented by layers whose forward/backward can check
 // scratch buffers out of a Workspace. id is the layer's index in its model,
 // which namespaces the arena keys; a nil Workspace falls back to fresh
@@ -87,11 +79,6 @@ type arenaLayer interface {
 type segmentedLayer interface {
 	Layer
 	backwardSegmented(ws *Workspace, id int, grad *tensor.Matrix, bounds []int, segGrads [][][]float64) (*tensor.Matrix, error)
-}
-
-// fastKernelLayer is implemented by layers with a fast-kernel toggle.
-type fastKernelLayer interface {
-	setFastKernels(on bool)
 }
 
 // validateBounds checks a segmentation against a batch of the given row
@@ -114,21 +101,6 @@ func validateBounds(bounds []int, rows int) error {
 
 var _ BatchClassifier = (*FeedForward)(nil)
 var _ WorkspaceBatchClassifier = (*FeedForward)(nil)
-var _ FastKernels = (*FeedForward)(nil)
-
-// SetFastKernels toggles the fast reduction kernels (unrolled independent
-// accumulators) in every layer that supports them. Fast kernels
-// reassociate floating-point sums: results agree with the exact kernels to
-// normal float64 accuracy but are NOT bit-identical, so the toggle is
-// opt-in and off by default. It affects every subsequent pass on this
-// model — training and inference alike.
-func (ff *FeedForward) SetFastKernels(on bool) {
-	for _, l := range ff.layers {
-		if f, ok := l.(fastKernelLayer); ok {
-			f.setFastKernels(on)
-		}
-	}
-}
 
 // BatchedLossAndGrad implements BatchClassifier: one forward and one
 // backward pass per layer over the stacked batch, de-interleaving

@@ -142,43 +142,6 @@ func TestBatchedLossAndGradRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestFastKernelsApproximate: the fast mode reassociates sums, so it must
-// agree with the exact path to float64 accuracy without being required to
-// match bitwise.
-func TestFastKernelsApproximate(t *testing.T) {
-	exact := batchedTestModel(t)
-	fast := batchedTestModel(t)
-	fast.SetFastKernels(true)
-	x, labels := randomBatch(10, 64, 5, 13)
-	bounds := []int{0, 4, 10}
-	a, err := exact.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fast.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 1e-9
-	for s := range a {
-		if d := math.Abs(a[s].Loss - b[s].Loss); d > tol*(1+math.Abs(a[s].Loss)) {
-			t.Errorf("segment %d fast loss drifted by %g", s, d)
-		}
-		for j := range a[s].Grad {
-			if d := math.Abs(a[s].Grad[j] - b[s].Grad[j]); d > tol*(1+math.Abs(a[s].Grad[j])) {
-				t.Fatalf("segment %d grad[%d] fast drift %g", s, j, d)
-			}
-		}
-	}
-	// Toggling back restores the exact kernels bit for bit.
-	fast.SetFastKernels(false)
-	c, err := fast.BatchedLossAndGrad(Input{Dense: x}, labels, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSegmentsBitIdentical(t, a, c)
-}
-
 // TestSoftmaxCrossEntropySegmentedMatches pins the segmented loss against
 // per-segment calls of the scalar version.
 func TestSoftmaxCrossEntropySegmentedMatches(t *testing.T) {
